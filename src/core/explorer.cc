@@ -15,6 +15,48 @@ using warehouse::Plan;
 using warehouse::PlannerKnobs;
 using warehouse::Query;
 
+namespace {
+
+// The knobs that cannot change one query's plan.
+struct InertKnobs {
+  bool partial_aggregation = false;  // no group-by aggregation to split
+  bool spool_reuse = false;          // no two tables share a storage id
+  bool force_reorder = false;        // reordering is on regardless
+  bool card_scale = false;           // no join subquery has >= 3 inputs
+
+  // `knobs` with every inert setting cleared: trials with equal canonical
+  // knobs produce byte-identical plans.
+  PlannerKnobs canonical(PlannerKnobs knobs) const {
+    if (partial_aggregation) knobs.flags.set(Flag::kPartialAggregation, false);
+    if (spool_reuse) knobs.flags.set(Flag::kSpoolReuse, false);
+    if (force_reorder) knobs.force_reorder = false;
+    if (card_scale) knobs.card_scale = 1.0;
+    return knobs;
+  }
+};
+
+// Each rule mirrors the one place the native optimizer reads the knob:
+// partial aggregation needs a non-empty group-by, a spool read needs a
+// second scan of one storage id, force_reorder only matters while
+// statistics are missing, and card_scale only scales subsets of >= 3 tables.
+InertKnobs inert_knobs(const warehouse::NativeOptimizer& optimizer,
+                      const Query& query) {
+  InertKnobs inert;
+  inert.partial_aggregation =
+      !query.aggregation.has_value() || query.aggregation->group_by.empty();
+  std::set<int> storage;
+  for (const int t : query.tables) {
+    const int alias_of = optimizer.catalog().table(t).alias_of;
+    storage.insert(alias_of >= 0 ? alias_of : t);
+  }
+  inert.spool_reuse = storage.size() == query.tables.size();
+  inert.force_reorder = optimizer.reordering_enabled(query);
+  inert.card_scale = query.tables.size() < 3;
+  return inert;
+}
+
+}  // namespace
+
 PlanExplorer::PlanExplorer(const warehouse::NativeOptimizer* optimizer, Config config)
     : optimizer_(optimizer), config_(config) {
   num_threads_ = config.num_threads > 0
@@ -35,6 +77,8 @@ CandidateGeneration PlanExplorer::explore(const Query& query) const {
       obs::Registry::instance().counter("loam.explorer.explores");
   static obs::Counter* const c_trials =
       obs::Registry::instance().counter("loam.explorer.trials");
+  static obs::Counter* const c_built =
+      obs::Registry::instance().counter("loam.explorer.trials_built");
   static obs::Counter* const c_kept =
       obs::Registry::instance().counter("loam.explorer.candidates_kept");
   static obs::Counter* const c_pruned =
@@ -126,41 +170,63 @@ CandidateGeneration PlanExplorer::explore(const Query& query) const {
     }
   }
 
-  // Optimize every trial — concurrently when the pool exists. Trials are
-  // independent: each one reads only the (const) catalog and query and
-  // writes its own result slot; a trial that ever needs randomness must
-  // derive it as Rng(seed).fork(i), never from a shared stream. Rough costs
-  // are evaluated on a COMMON estimate face (card_scale = 1) so trials that
-  // only deluded their own search face do not get to flatter themselves.
+  // Plan each query once: trials whose knobs differ only in settings that
+  // cannot change this query's plan share one canonical class, and only the
+  // first trial of each class is built. A skipped trial's plan is
+  // byte-identical to its representative's, so the signature dedup below
+  // would have dropped it anyway.
+  std::vector<std::size_t> rep(trials.size());   // trial -> representative
+  std::vector<std::size_t> built;                // representatives, in order
+  std::vector<PlannerKnobs> built_knobs;
+  {
+    std::vector<PlannerKnobs> canon;
+    const InertKnobs inert = inert_knobs(*optimizer_, query);
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      const PlannerKnobs c = inert.canonical(trials[i]);
+      const auto it = std::find(canon.begin(), canon.end(), c);
+      if (it != canon.end()) {
+        rep[i] = built[static_cast<std::size_t>(it - canon.begin())];
+        continue;
+      }
+      rep[i] = i;
+      canon.push_back(c);
+      built.push_back(i);
+      built_knobs.push_back(trials[i]);
+    }
+  }
+
+  // The shared estimator and the per-class join trees are computed up
+  // front; each built trial then only runs physical construction and
+  // annotation — concurrently when the pool exists. Builds read only the
+  // (const) planner and write their own result slot; a build that ever
+  // needs randomness must derive it as Rng(seed).fork(i), never from a
+  // shared stream. Rough costs and signatures come out on the COMMON
+  // estimate face (card_scale = 1) because annotate() never reads the
+  // scale, so trials that only deluded their own search face do not get
+  // to flatter themselves, and structurally identical plans found under
+  // different card scales dedup.
+  const warehouse::NativeOptimizer::TrialPlanner planner(*optimizer_, query,
+                                                         built_knobs);
   struct TrialResult {
     Plan plan;
     std::uint64_t sig = 0;
     double rough = 0.0;
   };
-  std::vector<TrialResult> results(trials.size());
-  auto run_trial = [&](std::size_t i) {
+  std::vector<TrialResult> results(built.size());
+  auto run_trial = [&](std::size_t k) {
     // Per-flag-set timing: the trial index deterministically identifies the
     // knob setting within this query's trial list.
     obs::Span trial_span(obs::Cat::kExplorer, "optimize_trial",
-                         static_cast<std::int64_t>(i));
-    TrialResult& r = results[i];
-    Plan plan = optimizer_->optimize(query, trials[i]);
-    if (trials[i].card_scale != 1.0) {
-      // Re-annotate on the common face.
-      warehouse::CardEstimator common(optimizer_->catalog(), query, 1.0);
-      common.annotate(plan);
-    }
-    // Signatures cover the (bucketized) estimate annotations, so they must
-    // be taken on the common face — otherwise two structurally identical
-    // plans found under different card scales would defeat dedup.
-    r.sig = plan.signature();
-    r.rough = optimizer_->rough_cost(plan);
-    r.plan = std::move(plan);
+                         static_cast<std::int64_t>(built[k]));
+    TrialResult& r = results[k];
+    r.plan = planner.build(k);
+    r.sig = r.plan.signature();
+    r.rough = optimizer_->rough_cost(r.plan);
   };
   if (pool_ != nullptr) {
-    pool_->parallel_for(trials.size(), run_trial);
+    pool_->parallel_for(built.size(), run_trial);
   } else {
-    for (std::size_t i = 0; i < trials.size(); ++i) run_trial(i);
+    for (std::size_t k = 0; k < built.size(); ++k) run_trial(k);
   }
 
   // Serial merge in trial order: dedup by plan signature exactly as the
@@ -169,19 +235,23 @@ CandidateGeneration PlanExplorer::explore(const Query& query) const {
   struct Candidate {
     Plan plan;
     PlannerKnobs knobs;
+    std::uint64_t sig = 0;
     double rough = 0.0;
     bool is_default = false;
   };
   std::vector<Candidate> candidates;
   std::set<std::uint64_t> seen;
   double default_rough = 0.0;
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    if (!seen.insert(results[i].sig).second) continue;
+  for (std::size_t i = 0, k = 0; i < trials.size(); ++i) {
+    if (rep[i] != i) continue;  // its representative came first
+    TrialResult& r = results[k++];
+    if (!seen.insert(r.sig).second) continue;
     Candidate c;
-    c.rough = results[i].rough;
+    c.rough = r.rough;
     if (i == 0) default_rough = c.rough;
-    c.plan = std::move(results[i].plan);
+    c.plan = std::move(r.plan);
     c.knobs = trials[i];
+    c.sig = r.sig;
     c.is_default = (i == 0);
     candidates.push_back(std::move(c));
   }
@@ -209,12 +279,14 @@ CandidateGeneration PlanExplorer::explore(const Query& query) const {
     if (candidates[i].is_default) out.default_index = static_cast<int>(i);
     out.plans.push_back(std::move(candidates[i].plan));
     out.knobs.push_back(candidates[i].knobs);
+    out.signatures.push_back(candidates[i].sig);
     out.rough_costs.push_back(candidates[i].rough);
   }
   out.generation_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   c_explores->add();
   c_trials->add(trials.size());
+  c_built->add(built.size());
   c_kept->add(out.plans.size());
   c_pruned->add(trials.size() - out.plans.size());
   return out;

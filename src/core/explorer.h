@@ -6,6 +6,7 @@
 #ifndef LOAM_CORE_EXPLORER_H_
 #define LOAM_CORE_EXPLORER_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -17,12 +18,15 @@ namespace loam::core {
 struct CandidateGeneration {
   std::vector<warehouse::Plan> plans;
   std::vector<warehouse::PlannerKnobs> knobs;
+  // Plan::signature() of each kept plan, on the common estimate face; the
+  // cache keys of every scoring path.
+  std::vector<std::uint64_t> signatures;
   // Engine rough cost of each kept plan on the common estimate face; the
   // parallel-determinism property tests compare these bit-for-bit.
   std::vector<double> rough_costs;
   int default_index = 0;        // position of the default plan in `plans`
   double generation_seconds = 0.0;
-  int trials = 0;               // knob settings attempted
+  int trials = 0;               // knob settings listed (built or inert)
 };
 
 struct ExplorerConfig {

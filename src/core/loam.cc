@@ -253,7 +253,7 @@ int LoamDeployment::select_with_strategy(const CandidateGeneration& generation,
     std::vector<std::size_t> miss_idx;
     std::vector<std::shared_ptr<const nn::Tree>> miss_trees;
     for (std::size_t i = 0; i < n; ++i) {
-      plan_keys[i] = generation.plans[i].signature();
+      plan_keys[i] = generation.signatures.at(i);
       const std::uint64_t skey =
           cache::InferenceCache::score_key(plan_keys[i], env_fp, model_epoch_);
       if (std::optional<double> hit = infer_cache_.get_score(skey);

@@ -186,7 +186,7 @@ ModularLearner::Decision ModularLearner::optimize(
   double best_score = 0.0;
   for (int i = 0; i < static_cast<int>(d.generation.plans.size()); ++i) {
     const warehouse::Plan& plan = d.generation.plans[i];
-    const std::uint64_t sig = plan.signature();
+    const std::uint64_t sig = d.generation.signatures[static_cast<std::size_t>(i)];
     const std::uint64_t skey = cache::InferenceCache::score_key(sig, 0, version);
     double score;
     if (auto hit = m.cache->get_score(skey)) {

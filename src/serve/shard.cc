@@ -338,7 +338,7 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
       } else {
         d.predicted.assign(d.generation.plans.size(), 0.0);
         for (std::size_t c = 0; c < d.generation.plans.size(); ++c) {
-          const std::uint64_t psig = d.generation.plans[c].signature();
+          const std::uint64_t psig = d.generation.signatures[c];
           const std::uint64_t skey = cache::InferenceCache::score_key(
               psig, env_fp, snapshot->version);
           if (std::optional<double> hit = infer_cache_.get_score(skey);
@@ -451,6 +451,7 @@ void ServeShard::process_shed(Pending pending, std::int64_t pickup_ns) {
     // plan, produced without candidate exploration or scoring — the shed
     // path's cost must stay independent of the model path it is protecting.
     d.generation.plans.push_back(env_.native->optimize(pending.query));
+    d.generation.signatures.push_back(d.generation.plans.back().signature());
     d.generation.knobs.emplace_back();
     d.generation.rough_costs.push_back(0.0);
     d.generation.default_index = 0;

@@ -29,7 +29,34 @@ double default_selectivity(FilterFn fn) {
 
 CardEstimator::CardEstimator(const Catalog& catalog, const Query& query,
                              double card_scale)
-    : catalog_(catalog), query_(query), card_scale_(card_scale) {}
+    : catalog_(catalog), query_(query), card_scale_(card_scale) {
+  positions_.reserve(query_.tables.size());
+  edges_.reserve(query_.joins.size());
+  pred_sel_.reserve(query_.predicates.size());
+  for (const int t : query_.tables) {
+    Position& p = positions_.emplace_back();
+    for (const bool truth : {false, true}) {
+      p.scan[truth] = scan_rows(t, truth);
+      p.rows[truth] = p.scan[truth] * residual_filter_selectivity(t, truth);
+    }
+  }
+  for (const JoinEdge& j : query_.joins) {
+    Edge& e = edges_.emplace_back();
+    e.a = query_.table_position(j.left_table);
+    e.b = query_.table_position(j.right_table);
+    for (const bool truth : {false, true}) e.sel[truth] = join_selectivity(j, truth);
+  }
+  for (const Predicate& p : query_.predicates) {
+    pred_sel_.push_back({pred_selectivity(p, false), pred_selectivity(p, true)});
+  }
+  if (query_.aggregation) {
+    for (const bool truth : {false, true}) {
+      for (auto [t, c] : query_.aggregation->group_by) {
+        group_ndv_[truth] *= ndv(t, c, truth);
+      }
+    }
+  }
+}
 
 double CardEstimator::base_rows(int table_id, bool truth) const {
   const Table& t = catalog_.table(table_id);
@@ -73,16 +100,18 @@ double CardEstimator::scan_rows(int table_id, bool truth) const {
   // Partition pruning: predicates on the partition column (column 0) reduce
   // the partitions actually read; engines can do this from metadata alone, so
   // even the estimated face applies the true pruning fraction.
-  for (const Predicate* p : query_.predicates_on(table_id)) {
-    if (p->column == 0) rows *= std::clamp(p->selectivity, 1e-9, 1.0);
+  for (const Predicate& p : query_.predicates) {
+    if (p.table_id == table_id && p.column == 0) {
+      rows *= std::clamp(p.selectivity, 1e-9, 1.0);
+    }
   }
   return std::max(1.0, rows);
 }
 
 double CardEstimator::residual_filter_selectivity(int table_id, bool truth) const {
   double sel = 1.0;
-  for (const Predicate* p : query_.predicates_on(table_id)) {
-    if (p->column != 0) sel *= pred_selectivity(*p, truth);
+  for (const Predicate& p : query_.predicates) {
+    if (p.table_id == table_id && p.column != 0) sel *= pred_selectivity(p, truth);
   }
   return std::clamp(sel, 1e-12, 1.0);
 }
@@ -107,25 +136,21 @@ double CardEstimator::join_selectivity(const JoinEdge& edge, bool truth) const {
   return std::clamp(sel, 1e-15, 1.0);
 }
 
-double CardEstimator::subset_rows(std::uint32_t mask, bool truth) const {
+double CardEstimator::subset_rows(std::uint32_t mask, bool truth,
+                                  double card_scale) const {
   double rows = 1.0;
   int count = 0;
-  for (std::size_t i = 0; i < query_.tables.size(); ++i) {
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
     if (!(mask & (1u << i))) continue;
     ++count;
-    const int t = query_.tables[i];
-    rows *= scan_rows(t, truth) * residual_filter_selectivity(t, truth);
+    rows *= positions_[i].rows[truth];
   }
   if (count == 0) return 0.0;
-  for (const JoinEdge& j : query_.joins) {
-    const int a = query_.table_position(j.left_table);
-    const int b = query_.table_position(j.right_table);
-    if (a < 0 || b < 0) continue;
-    if ((mask & (1u << a)) && (mask & (1u << b))) {
-      rows *= join_selectivity(j, truth);
-    }
+  for (const Edge& e : edges_) {
+    if (e.a < 0 || e.b < 0) continue;
+    if ((mask & (1u << e.a)) && (mask & (1u << e.b))) rows *= e.sel[truth];
   }
-  if (!truth && count >= 3) rows *= card_scale_;
+  if (!truth && count >= 3) rows *= card_scale;
   return std::max(1.0, rows);
 }
 
@@ -136,6 +161,11 @@ double CardEstimator::aggregate_rows(const Aggregation& agg, double input_rows,
   for (auto [t, c] : agg.group_by) groups *= ndv(t, c, truth);
   // Group count cannot exceed the input and distinct combinations saturate.
   return std::max(1.0, std::min(groups, input_rows));
+}
+
+double CardEstimator::query_aggregate_rows(double input_rows, bool truth) const {
+  if (query_.aggregation->group_by.empty()) return 1.0;
+  return std::max(1.0, std::min(group_ndv_[truth], input_rows));
 }
 
 void CardEstimator::annotate(Plan& plan) const {
@@ -149,16 +179,23 @@ void CardEstimator::annotate(Plan& plan) const {
     };
     switch (n.op) {
       case OpType::kTableScan:
-      case OpType::kSpoolRead:
-        set_both(scan_rows(n.table_id, false), scan_rows(n.table_id, true));
+      case OpType::kSpoolRead: {
+        const int pos = query_.table_position(n.table_id);
+        if (pos >= 0) {
+          const auto& scan = positions_[static_cast<std::size_t>(pos)].scan;
+          set_both(scan[false], scan[true]);
+        } else {
+          set_both(scan_rows(n.table_id, false), scan_rows(n.table_id, true));
+        }
         break;
+      }
       case OpType::kFilter:
       case OpType::kCalc: {
         double est_sel = 1.0, true_sel = 1.0;
         for (int pi : n.filter_preds) {
-          const Predicate& p = query_.predicates.at(static_cast<std::size_t>(pi));
-          est_sel *= pred_selectivity(p, false);
-          true_sel *= pred_selectivity(p, true);
+          const auto& sel = pred_sel_.at(static_cast<std::size_t>(pi));
+          est_sel *= sel[false];
+          true_sel *= sel[true];
         }
         set_both(l->est_rows * est_sel, l->true_rows * true_sel);
         break;
@@ -167,9 +204,11 @@ void CardEstimator::annotate(Plan& plan) const {
       case OpType::kMergeJoin:
       case OpType::kNestedLoopJoin:
       case OpType::kBroadcastHashJoin: {
-        const JoinEdge& e = query_.joins.at(static_cast<std::size_t>(n.join_edge));
-        double est = l->est_rows * r->est_rows * join_selectivity(e, false);
-        double truth = l->true_rows * r->true_rows * join_selectivity(e, true);
+        const std::size_t ei = static_cast<std::size_t>(n.join_edge);
+        const JoinEdge& e = query_.joins.at(ei);
+        const auto& sel = edges_[ei].sel;
+        double est = l->est_rows * r->est_rows * sel[false];
+        double truth = l->true_rows * r->true_rows * sel[true];
         // Outer joins emit at least the preserved side.
         if (e.form == JoinForm::kLeft || e.form == JoinForm::kFullOuter) {
           est = std::max(est, l->est_rows);
@@ -185,8 +224,8 @@ void CardEstimator::annotate(Plan& plan) const {
       case OpType::kHashAggregate:
       case OpType::kSortAggregate:
         if (query_.aggregation) {
-          set_both(aggregate_rows(*query_.aggregation, l->est_rows, false),
-                   aggregate_rows(*query_.aggregation, l->true_rows, true));
+          set_both(query_aggregate_rows(l->est_rows, false),
+                   query_aggregate_rows(l->true_rows, true));
         } else {
           set_both(l->est_rows, l->true_rows);
         }
@@ -195,11 +234,10 @@ void CardEstimator::annotate(Plan& plan) const {
         if (query_.aggregation) {
           // Partial aggregation reduces each instance's input but cannot go
           // below the global group count.
-          set_both(
-              std::max(aggregate_rows(*query_.aggregation, l->est_rows, false),
-                       l->est_rows * 0.1),
-              std::max(aggregate_rows(*query_.aggregation, l->true_rows, true),
-                       l->true_rows * 0.1));
+          set_both(std::max(query_aggregate_rows(l->est_rows, false),
+                            l->est_rows * 0.1),
+                   std::max(query_aggregate_rows(l->true_rows, true),
+                            l->true_rows * 0.1));
         } else {
           set_both(l->est_rows, l->true_rows);
         }

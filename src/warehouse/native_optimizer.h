@@ -15,10 +15,18 @@
 //
 // The Lero-style knob `PlannerKnobs::card_scale` biases the estimated
 // cardinality of every >= 3-input subquery, perturbing the join-order search.
+//
+// The estimates every step reads depend only on the query, and step 1 only
+// on the query and the knobs' (ordering mode, card_scale) class, so
+// optimize_trials() estimates once per query, orders joins once per class
+// and runs only steps 2-4 per trial.
 #ifndef LOAM_WAREHOUSE_NATIVE_OPTIMIZER_H_
 #define LOAM_WAREHOUSE_NATIVE_OPTIMIZER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "warehouse/cardinality.h"
 #include "warehouse/catalog.h"
@@ -36,6 +44,10 @@ struct NativeOptimizerConfig {
 
 class NativeOptimizer {
  public:
+  // Table masks are 32-bit: queries with this many tables or more are
+  // rejected with std::invalid_argument.
+  static constexpr std::size_t kMaxTables = 32;
+
   explicit NativeOptimizer(const Catalog& catalog,
                            NativeOptimizerConfig config = NativeOptimizerConfig());
 
@@ -43,6 +55,35 @@ class NativeOptimizer {
   // returned plan is fully annotated (est_rows + true_rows) and staged
   // lazily by the executor.
   Plan optimize(const Query& query, const PlannerKnobs& knobs = PlannerKnobs()) const;
+
+  // Optimizes one query under several knob settings: plans[i] is
+  // bit-identical to optimize(query, knobs[i]), but the query is planned
+  // once (see TrialPlanner).
+  std::vector<Plan> optimize_trials(const Query& query,
+                                    const std::vector<PlannerKnobs>& knobs) const;
+
+  // The shared half of optimize_trials(), split out so trials can be built
+  // concurrently. Construction validates the query, builds one
+  // CardEstimator and the knob-independent scan nodes, and computes one
+  // join tree per ordering class — single table, syntactic, DP or greedy,
+  // each at its card_scale; the DP classes share one enumeration of
+  // connected subsets and their splits. build(i) then runs only physical
+  // construction and annotation for knobs[i]; it is const and safe to call
+  // from several threads at once. The optimizer and the query must outlive
+  // the planner.
+  class TrialPlanner {
+   public:
+    TrialPlanner(const NativeOptimizer& optimizer, const Query& query,
+                 std::vector<PlannerKnobs> knobs);
+    ~TrialPlanner();
+
+    std::size_t size() const;
+    Plan build(std::size_t i) const;
+
+   private:
+    struct State;
+    std::unique_ptr<const State> state_;
+  };
 
   // The coarse cost the engine attaches to a plan from estimated
   // cardinalities; the plan explorer uses it to retain the top-k candidates
@@ -57,26 +98,6 @@ class NativeOptimizer {
   const Catalog& catalog() const { return catalog_; }
 
  private:
-  // In-memory join tree produced by the ordering phase.
-  struct JoinTreeNode {
-    int table_pos = -1;  // leaf: position in query.tables
-    int left = -1;
-    int right = -1;
-    int edge = -1;              // index into query.joins (internal nodes)
-    std::uint32_t mask = 0;     // participating table positions
-  };
-  struct JoinTree {
-    std::vector<JoinTreeNode> nodes;
-    int root = -1;
-  };
-
-  JoinTree order_dp(const Query& query, const CardEstimator& cards) const;
-  JoinTree order_greedy(const Query& query, const CardEstimator& cards) const;
-  JoinTree order_syntactic(const Query& query) const;
-
-  Plan build_physical(const Query& query, const JoinTree& tree,
-                      const PlannerKnobs& knobs, const CardEstimator& cards) const;
-
   const Catalog& catalog_;
   NativeOptimizerConfig config_;
 };

@@ -111,8 +111,11 @@ int Plan::est_card_bucket(double est_rows) {
 }
 
 std::uint64_t Plan::signature() const {
-  std::function<std::uint64_t(int)> hash_node = [&](int id) -> std::uint64_t {
-    if (id < 0) return 0x5bd1e995u;
+  constexpr std::uint64_t kNoChild = 0x5bd1e995u;
+  if (root_ < 0) return kNoChild;
+  // Bottom-up: postorder() hashes every child before its parent.
+  std::vector<std::uint64_t> hashes(nodes_.size(), kNoChild);
+  for (const int id : postorder()) {
     const PlanNode& n = node(id);
     std::uint64_t h = mix64(static_cast<std::uint64_t>(n.op) + 0x100);
     // Leaf identity: which table, how much of it survives partition pruning,
@@ -141,11 +144,14 @@ std::uint64_t Plan::signature() const {
     // ground truth and must never reach a serving-path key.
     h = sig_combine(h,
                     static_cast<std::uint64_t>(est_card_bucket(n.est_rows)) + 0xc000);
-    h = mix64(h ^ (hash_node(n.left) * 0x9e3779b97f4a7c15ull));
-    h = mix64(h ^ (hash_node(n.right) * 0xc2b2ae3d27d4eb4full));
-    return h;
-  };
-  return hash_node(root_);
+    const auto child = [&](int c) {
+      return c < 0 ? kNoChild : hashes[static_cast<std::size_t>(c)];
+    };
+    h = mix64(h ^ (child(n.left) * 0x9e3779b97f4a7c15ull));
+    h = mix64(h ^ (child(n.right) * 0xc2b2ae3d27d4eb4full));
+    hashes[static_cast<std::size_t>(id)] = h;
+  }
+  return hashes[static_cast<std::size_t>(root_)];
 }
 
 std::vector<std::pair<std::pair<OpType, OpType>, int>> Plan::parent_child_patterns()

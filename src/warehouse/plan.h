@@ -96,6 +96,7 @@ struct PlanNode {
 class Plan {
  public:
   int add_node(PlanNode node);
+  void reserve(std::size_t nodes) { nodes_.reserve(nodes); }
   void set_root(int id) { root_ = id; }
   int root() const { return root_; }
 

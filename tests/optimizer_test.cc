@@ -3,7 +3,10 @@
 // stats-missing degradations of Section 2.1.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "warehouse/native_optimizer.h"
 
@@ -291,6 +294,66 @@ TEST_F(OptimizerFixture, PartitionPruningReflectedInScan) {
     if (n.op == OpType::kTableScan && n.table_id == fact) {
       EXPECT_LT(n.partitions_accessed, catalog.table(fact).num_partitions);
       EXPECT_GE(n.partitions_accessed, 1);
+    }
+  }
+}
+
+// A chain query over `n` fresh tables, each with collected statistics.
+Query chain_query(Catalog& catalog, int n) {
+  Query q;
+  for (int i = 0; i < n; ++i) {
+    Table t;
+    t.name = "chain" + std::to_string(catalog.table_count());
+    t.row_count = 1000 * (i + 1);
+    Column c0;
+    c0.name = "c0";
+    c0.ndv = 10;
+    Column c1;
+    c1.name = "c1";
+    c1.ndv = t.row_count;
+    t.columns = {c0, c1};
+    TableStats s;
+    s.available = true;
+    s.observed_rows = t.row_count;
+    q.tables.push_back(catalog.add_table(t));
+    catalog.set_stats(q.tables.back(), s);
+    if (i > 0) {
+      JoinEdge e;
+      e.left_table = q.tables[static_cast<std::size_t>(i - 1)];
+      e.right_table = q.tables.back();
+      e.left_column = 1;
+      e.right_column = 1;
+      q.joins.push_back(e);
+    }
+  }
+  return q;
+}
+
+// Table positions are bits of 32-bit masks: a query with 32 or more tables
+// must be rejected loudly, not shifted past the mask width.
+TEST(OptimizerLimits, RejectsQueriesWithThirtyTwoOrMoreTables) {
+  Catalog catalog;
+  const Query widest = chain_query(catalog, 31);
+  const Query too_wide = chain_query(catalog, 32);
+  NativeOptimizer opt(catalog);
+
+  const Plan plan = opt.optimize(widest);
+  int scans = 0;
+  for (const PlanNode& n : plan.nodes()) scans += n.op == OpType::kTableScan;
+  EXPECT_EQ(scans, 31);
+
+  PlannerKnobs scaled;
+  scaled.card_scale = 3.0;
+  for (const auto& call : {
+           std::function<void()>([&] { opt.optimize(too_wide); }),
+           std::function<void()>([&] { opt.optimize_trials(too_wide, {{}, scaled}); }),
+       }) {
+    try {
+      call();
+      ADD_FAILURE() << "a 32-table query was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("at most 31"), std::string::npos)
+          << e.what();
     }
   }
 }

@@ -21,7 +21,8 @@
 #     or a blocked-GEMM speedup below 4x when a vector arm is dispatched);
 #   - obs overhead (BENCH_obs.json, fails if disabled sites cost > 50 ns);
 #   - CLI observability export (--metrics-out/--trace-out JSON validated with
-#     python3 -m json.tool, trace summarized by tools/trace_summary.py);
+#     python3 -m json.tool, trace summarized by tools/trace_summary.py;
+#     fails unless 0 < loam.explorer.trials_built < loam.explorer.trials);
 #   - CLI flag hygiene (an unknown flag must fail with usage, not be ignored);
 #   - serving soak (loam_sim_cli serve) and serving latency/swap-pause bench
 #     (BENCH_serve.json, fails if a swap ever pauses requests > 1 ms; also
@@ -117,6 +118,16 @@ if [[ "${rc}" != 0 && "${rc}" != 2 ]]; then
 fi
 python3 -m json.tool "${BUILD_DIR}/obs_metrics.json" > /dev/null
 python3 -m json.tool "${BUILD_DIR}/obs_trace.json" > /dev/null
+# The explorer builds one plan per canonical knob class, so fewer trials are
+# built than listed (inert knobs are skipped, never dropped from the count).
+python3 - "${BUILD_DIR}/obs_metrics.json" <<'EOF'
+import json, sys
+m = {x["name"]: x for x in json.load(open(sys.argv[1]))["metrics"]}
+trials = m["loam.explorer.trials"]["value"]
+built = m["loam.explorer.trials_built"]["value"]
+assert 0 < built < trials, (built, trials)
+print("explorer trials built/listed: %d/%d" % (built, trials))
+EOF
 python3 tools/trace_summary.py "${BUILD_DIR}/obs_trace.json" --top 10
 
 echo "== CLI flag hygiene smoke (unknown flag must be rejected) =="
