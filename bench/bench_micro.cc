@@ -852,7 +852,8 @@ int run_serve(const std::string& json_path) {
   // int8 twin of the serving model is published as its own approved version
   // and each leg replays the same stream with no concurrent swapping.
   serve::ServeConfig qcfg = cfg;
-  qcfg.cache.enabled = false;
+  qcfg.cache.encoding_capacity = 0;
+  qcfg.cache.score_capacity = 0;
   serve::OptimizerService qservice(&runtime, qcfg);
   qservice.start();
   core::AdaptiveCostPredictor fp32_master(qservice.encoder().feature_dim(),
@@ -987,9 +988,9 @@ int run_cache(const std::string& json_path) {
   base.candidate_sample_queries = 20;
   base.predictor.epochs = 5;
   core::LoamConfig cached_cfg = base;
-  cached_cfg.cache.enabled = true;
   core::LoamConfig plain_cfg = base;
-  plain_cfg.cache.enabled = false;
+  plain_cfg.cache.encoding_capacity = 0;  // capacity 0: caches off
+  plain_cfg.cache.score_capacity = 0;
 
   core::LoamDeployment cached(&runtime, cached_cfg);
   core::LoamDeployment plain(&runtime, plain_cfg);

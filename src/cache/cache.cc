@@ -46,8 +46,8 @@ std::uint64_t InferenceCache::score_key(std::uint64_t plan_key,
 
 InferenceCache::InferenceCache(const std::string& name, CacheConfig config)
     : config_(config),
-      encodings_(config.enabled ? config.encoding_capacity : 0, config.shards),
-      scores_(config.enabled ? config.score_capacity : 0, config.shards) {
+      encodings_(config.encoding_capacity, config.shards),
+      scores_(config.score_capacity, config.shards) {
   obs::Registry& reg = obs::Registry::instance();
   const std::string p = "loam.cache." + name;
   c_enc_hits_ = reg.counter(p + ".enc.hits");
@@ -63,7 +63,6 @@ InferenceCache::InferenceCache(const std::string& name, CacheConfig config)
 }
 
 std::shared_ptr<const nn::Tree> InferenceCache::get_encoding(std::uint64_t key) {
-  if (!config_.enabled) return nullptr;
   std::optional<std::shared_ptr<const nn::Tree>> hit = encodings_.get(key);
   (hit ? c_enc_hits_ : c_enc_misses_)->add();
   return hit ? std::move(*hit) : nullptr;
@@ -71,7 +70,7 @@ std::shared_ptr<const nn::Tree> InferenceCache::get_encoding(std::uint64_t key) 
 
 void InferenceCache::put_encoding(std::uint64_t key,
                                   std::shared_ptr<const nn::Tree> tree) {
-  if (!config_.enabled || tree == nullptr) return;
+  if (tree == nullptr) return;
   using Lru = ShardedLru<std::shared_ptr<const nn::Tree>>;
   const Lru::PutOutcome out = encodings_.put(key, std::move(tree));
   if (out == Lru::PutOutcome::kInserted ||
@@ -85,14 +84,12 @@ void InferenceCache::put_encoding(std::uint64_t key,
 }
 
 std::optional<double> InferenceCache::get_score(std::uint64_t key) {
-  if (!config_.enabled) return std::nullopt;
   std::optional<double> hit = scores_.get(key);
   (hit ? c_score_hits_ : c_score_misses_)->add();
   return hit;
 }
 
 void InferenceCache::put_score(std::uint64_t key, double score) {
-  if (!config_.enabled) return;
   using Lru = ShardedLru<double>;
   const Lru::PutOutcome out = scores_.put(key, score);
   if (out == Lru::PutOutcome::kInserted ||

@@ -19,9 +19,11 @@
 //
 // Caching is bit-exact, never approximate: a hit returns a value previously
 // computed by the exact code path a miss would run, and both PlanEncoder
-// and predict_batch are deterministic functions of the key's inputs. Tests
-// assert that explorer candidate sets, gate verdicts, and served plan
-// choices are bit-identical with the cache on and off.
+// and predict_batch_ptrs are deterministic functions of the key's inputs.
+// Tests assert that scores, gate verdicts, and served plan choices are
+// bit-identical with warm, cold and zero-capacity caches. Capacity 0 is the
+// only off switch: a zero-capacity table misses every get and drops every
+// put (ShardedLru).
 //
 // Metrics: loam.cache.<name>.{enc,score}.{hits,misses,inserts,evictions}
 // counters plus loam.cache.<name>.{enc,score}.size gauges (obs-gated; the
@@ -57,7 +59,6 @@ std::uint64_t combine(std::uint64_t a, std::uint64_t b);
 std::uint64_t fingerprint(std::span<const double> values);
 
 struct CacheConfig {
-  bool enabled = true;
   std::size_t encoding_capacity = 4096;   // featurized plans
   std::size_t score_capacity = 1 << 16;   // final ranker/predictor scores
   int shards = 8;                         // lock stripes per table
@@ -68,7 +69,6 @@ class InferenceCache {
   // `name` scopes the obs series: loam.cache.<name>.*
   InferenceCache(const std::string& name, CacheConfig config);
 
-  bool enabled() const { return config_.enabled; }
   const CacheConfig& config() const { return config_; }
 
   // --- key builders (pure) ---

@@ -32,28 +32,26 @@ class CostModel {
 
   virtual double predict(const nn::Tree& tree) const = 0;
 
-  // Scores a whole candidate set at once, one cost per tree in input order.
-  // The base implementation loops predict(); models with a batched forward
-  // pass override it to encode the set into one matrix batch and run a
-  // single forward per sub-network. Implementations must return the same
-  // values as the per-plan path.
-  virtual std::vector<double> predict_batch(const std::vector<nn::Tree>& trees) const {
-    std::vector<double> out;
-    out.reserve(trees.size());
-    for (const nn::Tree& t : trees) out.push_back(predict(t));
-    return out;
-  }
-
-  // Pointer form of predict_batch, for callers whose trees already live
-  // elsewhere (e.g. shared_ptr encodings handed out by loam::cache) — scoring
-  // a mixed cached/fresh batch then needs no deep Tree copies. Same contract:
-  // one cost per tree, input order, values identical to predict().
+  // Scores a whole candidate set at once, one cost per tree in input order,
+  // with values identical to predict(). The base implementation loops
+  // predict(); models with a batched forward pass override it to pack the
+  // set into one matrix batch and run a single forward per sub-network.
+  // Takes pointers so a batch can mix trees that live elsewhere (e.g.
+  // shared_ptr encodings handed out by loam::cache) without deep copies.
   virtual std::vector<double> predict_batch_ptrs(
       const std::vector<const nn::Tree*>& trees) const {
     std::vector<double> out;
     out.reserve(trees.size());
     for (const nn::Tree* t : trees) out.push_back(predict(*t));
     return out;
+  }
+
+  // Value form of predict_batch_ptrs.
+  std::vector<double> predict_batch(const std::vector<nn::Tree>& trees) const {
+    std::vector<const nn::Tree*> ptrs;
+    ptrs.reserve(trees.size());
+    for (const nn::Tree& t : trees) ptrs.push_back(&t);
+    return predict_batch_ptrs(ptrs);
   }
 
   virtual std::size_t model_bytes() const = 0;

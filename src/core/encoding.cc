@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <span>
 
-#include "cache/cache.h"
-
 namespace loam::core {
 
 using warehouse::AggFn;
@@ -14,6 +12,14 @@ using warehouse::JoinForm;
 using warehouse::OpType;
 using warehouse::Plan;
 using warehouse::PlanNode;
+
+EncodingConfig with_row_cache(EncodingConfig encoding,
+                              const cache::CacheConfig& cache) {
+  if (encoding.row_cache_capacity == 0) {
+    encoding.row_cache_capacity = cache.encoding_capacity;
+  }
+  return encoding;
+}
 
 PlanEncoder::PlanEncoder(const warehouse::Catalog* catalog, EncodingConfig config)
     : catalog_(catalog), config_(config) {

@@ -26,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "cache/cache.h"
 #include "cache/lru.h"
 #include "nn/tree_conv.h"
 #include "util/hash.h"
@@ -49,6 +50,14 @@ struct EncodingConfig {
   // hits bit-identical to recomputation.
   std::size_t row_cache_capacity = 0;
 };
+
+// The node-row memo follows the inference cache's sizing: rows repeat
+// massively across a workload's plans and memoized rows are bit-identical to
+// recomputed ones, so it needs no switch of its own. Keeps `encoding`'s
+// row_cache_capacity when above 0, else takes the cache's encoding_capacity;
+// 0 means off.
+EncodingConfig with_row_cache(EncodingConfig encoding,
+                              const cache::CacheConfig& cache);
 
 class PlanEncoder {
  public:

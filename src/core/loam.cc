@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <thread>
 
 #include "obs/obs.h"
@@ -96,22 +95,6 @@ WorkloadSummary summarize_workload(const ProjectRuntime& runtime, int first_day,
 // ---------------------------------------------------------------------------
 // LoamDeployment
 // ---------------------------------------------------------------------------
-
-namespace {
-
-// The encoder's node-row memo follows the deployment's cache switch: rows
-// repeat massively across a workload's plans, and memoized rows are
-// bit-identical to recomputed ones, so there is no reason to configure it
-// separately.
-EncodingConfig with_row_cache(EncodingConfig enc, const cache::CacheConfig& cc) {
-  if (cc.enabled && enc.row_cache_capacity == 0) {
-    enc.row_cache_capacity = cc.encoding_capacity;
-  }
-  if (!cc.enabled) enc.row_cache_capacity = 0;
-  return enc;
-}
-
-}  // namespace
 
 LoamDeployment::LoamDeployment(ProjectRuntime* runtime, LoamConfig config,
                                std::unique_ptr<CostModel> model)
@@ -221,79 +204,11 @@ int LoamDeployment::select_with_strategy(const CandidateGeneration& generation,
   } else {
     env = select_env(strategy, env_context_);
   }
-  const bool use_env = strategy != EnvInferenceStrategy::kNoEnv;
-  // Encode the candidate set and score it with ONE forward pass per model;
-  // argmin ties resolve to the first candidate, exactly as the per-plan loop
-  // did. With the inference cache on, candidates whose (signature, env,
-  // epoch) score is memoized skip both steps, and candidates whose encoding
-  // is memoized skip featurization; only the misses enter the batch. Both
-  // shortcuts are bit-exact — encode() and predict_batch are deterministic
-  // per row, independent of batch composition — so the selected index never
-  // depends on cache state.
-  const std::optional<EnvFeatures> enc_env =
-      use_env ? std::optional<EnvFeatures>(env) : std::nullopt;
-  const std::size_t n = generation.plans.size();
-  std::vector<double> preds(n, 0.0);
-  if (!infer_cache_.enabled()) {
-    std::vector<nn::Tree> trees;
-    trees.reserve(n);
-    for (const Plan& plan : generation.plans) {
-      trees.push_back(encoder_.encode(plan, nullptr, enc_env));
-    }
-    preds = model_->predict_batch(trees);
-  } else {
-    const double env_vals[4] = {env.cpu_idle, env.io_wait, env.load5_norm,
-                                env.mem_usage};
-    // The no-env encoding reads none of the four values; give it its own
-    // fingerprint so it cannot alias an all-zero environment (harmless — the
-    // rows would match — but pointlessly shared).
-    const std::uint64_t env_fp =
-        use_env ? cache::fingerprint(env_vals) : 0x9e1debull;
-    std::vector<std::uint64_t> plan_keys(n, 0);
-    std::vector<std::size_t> miss_idx;
-    std::vector<std::shared_ptr<const nn::Tree>> miss_trees;
-    for (std::size_t i = 0; i < n; ++i) {
-      plan_keys[i] = generation.signatures.at(i);
-      const std::uint64_t skey =
-          cache::InferenceCache::score_key(plan_keys[i], env_fp, model_epoch_);
-      if (std::optional<double> hit = infer_cache_.get_score(skey);
-          hit.has_value()) {
-        preds[i] = *hit;
-        continue;
-      }
-      const std::uint64_t ekey =
-          cache::InferenceCache::encoding_key(plan_keys[i], env_fp);
-      std::shared_ptr<const nn::Tree> tree = infer_cache_.get_encoding(ekey);
-      if (tree == nullptr) {
-        tree = std::make_shared<const nn::Tree>(
-            encoder_.encode(generation.plans[i], nullptr, enc_env));
-        infer_cache_.put_encoding(ekey, tree);
-      }
-      miss_idx.push_back(i);
-      miss_trees.push_back(std::move(tree));
-    }
-    if (!miss_idx.empty()) {
-      std::vector<const nn::Tree*> ptrs;
-      ptrs.reserve(miss_trees.size());
-      for (const auto& t : miss_trees) ptrs.push_back(t.get());
-      const std::vector<double> fresh = model_->predict_batch_ptrs(ptrs);
-      for (std::size_t j = 0; j < miss_idx.size(); ++j) {
-        preds[miss_idx[j]] = fresh[j];
-        infer_cache_.put_score(cache::InferenceCache::score_key(
-                                   plan_keys[miss_idx[j]], env_fp, model_epoch_),
-                               fresh[j]);
-      }
-    }
-  }
-  int best = 0;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < preds.size(); ++c) {
-    if (preds[c] < best_cost) {
-      best_cost = preds[c];
-      best = static_cast<int>(c);
-    }
-  }
-  if (predictions != nullptr) *predictions = std::move(preds);
+  const std::optional<EnvFeatures> scoring_env =
+      strategy != EnvInferenceStrategy::kNoEnv ? std::optional<EnvFeatures>(env)
+                                               : std::nullopt;
+  const int best = CandidateScorer(&encoder_, scoring_env, &infer_cache_)
+                       .select(*model_, generation, model_epoch_, predictions);
   (best == generation.default_index ? c_default : c_steered)->add();
   return best;
 }

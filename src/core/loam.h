@@ -15,6 +15,7 @@
 #include "core/explorer.h"
 #include "core/inference.h"
 #include "core/predictor.h"
+#include "core/scorer.h"
 #include "core/selector.h"
 #include "warehouse/flighting.h"
 #include "warehouse/native_optimizer.h"
@@ -92,8 +93,9 @@ struct LoamConfig {
   // domain-adversarial objective (generated, never executed).
   int candidate_sample_queries = 150;
   // Memoized inference (loam::cache): encoded-plan + score caches on the
-  // selection path, plus the encoder's node-row memo. Purely a performance
-  // knob — selections are bit-identical with caching disabled.
+  // selection path, plus the encoder's node-row memo (with_row_cache).
+  // Purely a performance knob — selections are bit-identical with every
+  // capacity 0, which turns the caches off.
   cache::CacheConfig cache;
 };
 

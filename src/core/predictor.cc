@@ -298,14 +298,6 @@ double AdaptiveCostPredictor::predict(const nn::Tree& tree) const {
   return scaler_.to_cost(static_cast<double>(pred.at(0, 0)));
 }
 
-std::vector<double> AdaptiveCostPredictor::predict_batch(
-    const std::vector<nn::Tree>& trees) const {
-  std::vector<const nn::Tree*> ptrs;
-  ptrs.reserve(trees.size());
-  for (const nn::Tree& t : trees) ptrs.push_back(&t);
-  return predict_batch_ptrs(ptrs);
-}
-
 std::vector<double> AdaptiveCostPredictor::predict_batch_ptrs(
     const std::vector<const nn::Tree*>& ptrs) const {
   if (ptrs.empty()) return {};

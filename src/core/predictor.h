@@ -67,7 +67,6 @@ class AdaptiveCostPredictor : public CostModel {
   double predict(const nn::Tree& tree) const override;
   // Batched path: one TCN forest pass + one CostPred pass for the whole
   // candidate set, bit-identical per row to predict().
-  std::vector<double> predict_batch(const std::vector<nn::Tree>& trees) const override;
   std::vector<double> predict_batch_ptrs(
       const std::vector<const nn::Tree*>& trees) const override;
   std::size_t model_bytes() const override;

@@ -219,14 +219,6 @@ double QuantizedCostModel::predict(const nn::Tree& tree) const {
   return predict_batch_ptrs({&tree})[0];
 }
 
-std::vector<double> QuantizedCostModel::predict_batch(
-    const std::vector<nn::Tree>& trees) const {
-  std::vector<const nn::Tree*> ptrs;
-  ptrs.reserve(trees.size());
-  for (const nn::Tree& t : trees) ptrs.push_back(&t);
-  return predict_batch_ptrs(ptrs);
-}
-
 std::vector<double> QuantizedCostModel::predict_batch_ptrs(
     const std::vector<const nn::Tree*>& trees) const {
   if (trees.empty()) return {};

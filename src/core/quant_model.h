@@ -50,8 +50,6 @@ class QuantizedCostModel : public CostModel {
            const std::vector<nn::Tree>& candidate_plans) override;
 
   double predict(const nn::Tree& tree) const override;
-  std::vector<double> predict_batch(
-      const std::vector<nn::Tree>& trees) const override;
   // Thread-safe (all scratch is thread-local), same contract as the fp32
   // batched path: one cost per tree, input order.
   std::vector<double> predict_batch_ptrs(

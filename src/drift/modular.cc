@@ -143,25 +143,6 @@ const ModularLearner::Module& ModularLearner::module_at(
   return it->second;
 }
 
-int ModularLearner::select_with(
-    const core::AdaptiveCostPredictor& model, const core::PlanEncoder& encoder,
-    const core::CandidateGeneration& generation) const {
-  // The gate-closure twin of optimize()'s scoring loop: zero-filled
-  // environment block, argmin with first-index tie break. predict_batch is
-  // bit-identical per row to predict(), so gate verdicts replicate serving.
-  std::vector<nn::Tree> trees;
-  trees.reserve(generation.plans.size());
-  for (const warehouse::Plan& p : generation.plans) {
-    trees.push_back(encoder.encode(p, nullptr, std::nullopt));
-  }
-  const std::vector<double> scores = model.predict_batch(trees);
-  int best = 0;
-  for (int i = 1; i < static_cast<int>(scores.size()); ++i) {
-    if (scores[i] < scores[best]) best = i;
-  }
-  return best;
-}
-
 ModularLearner::Decision ModularLearner::optimize(
     const std::string& key, const warehouse::Query& query) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -177,37 +158,13 @@ ModularLearner::Decision ModularLearner::optimize(
   const int version = config_.modular ? m.version : shared_.version;
   if (model == nullptr) return d;  // native fallback until a swap lands
 
-  // Score every candidate through the module's caches. Keys fold the plan
-  // signature (schema_epoch-aware), a zero environment fingerprint, and the
-  // serving REGISTRY VERSION — a hot swap strands every pre-swap score by
+  // Score the candidates through the module's caches, keyed by the serving
+  // REGISTRY VERSION — a hot swap strands every pre-swap score by
   // construction, and a rollback's re-keyed lookups land on the restored
-  // version's own (still valid) entries.
-  int best = 0;
-  double best_score = 0.0;
-  for (int i = 0; i < static_cast<int>(d.generation.plans.size()); ++i) {
-    const warehouse::Plan& plan = d.generation.plans[i];
-    const std::uint64_t sig = d.generation.signatures[static_cast<std::size_t>(i)];
-    const std::uint64_t skey = cache::InferenceCache::score_key(sig, 0, version);
-    double score;
-    if (auto hit = m.cache->get_score(skey)) {
-      score = *hit;
-    } else {
-      const std::uint64_t ekey = cache::InferenceCache::encoding_key(sig, 0);
-      std::shared_ptr<const nn::Tree> tree = m.cache->get_encoding(ekey);
-      if (tree == nullptr) {
-        tree = std::make_shared<const nn::Tree>(
-            m.encoder->encode(plan, nullptr, std::nullopt));
-        m.cache->put_encoding(ekey, tree);
-      }
-      score = model->predict(*tree);
-      m.cache->put_score(skey, score);
-    }
-    if (i == 0 || score < best_score) {
-      best = i;
-      best_score = score;
-    }
-  }
-  d.chosen = best;
+  // version's own (still valid) entries. No env block: the journal's
+  // feedback records are encoded without one too (record_feedback).
+  d.chosen = core::CandidateScorer(m.encoder.get(), std::nullopt, m.cache.get())
+                 .select(*model, d.generation, version);
   d.used_model = true;
   d.model_version = version;
   return d;
@@ -300,8 +257,9 @@ ModularLearner::RetrainReport ModularLearner::retrain_modular_locked(
   // Gate on THIS module's workload only — the structural isolation claim:
   // project A's verdict samples project A's queries, so drift on A can
   // neither reject nor roll back any other module.
-  auto select = [this, &candidate, &m](const core::CandidateGeneration& g) {
-    return select_with(*candidate, *m.encoder, g);
+  const core::CandidateScorer scorer(m.encoder.get(), std::nullopt);
+  auto select = [&scorer, &candidate](const core::CandidateGeneration& g) {
+    return scorer.select(*candidate, g);
   };
   const core::DeploymentGateReport gate = core::evaluate_selection(
       *m.runtime, select, config_.explorer, day + 1, config_.gate);
@@ -361,8 +319,9 @@ ModularLearner::RetrainReport ModularLearner::retrain_monolithic_locked(
   obs::JsonWriter gates;
   gates.begin_object();
   for (auto& [key, m] : modules_) {
-    auto select = [this, &candidate, &m](const core::CandidateGeneration& g) {
-      return select_with(*candidate, *m.encoder, g);
+    const core::CandidateScorer scorer(m.encoder.get(), std::nullopt);
+    auto select = [&scorer, &candidate](const core::CandidateGeneration& g) {
+      return scorer.select(*candidate, g);
     };
     const core::DeploymentGateReport gate = core::evaluate_selection(
         *m.runtime, select, config_.explorer, day + 1, config_.gate);

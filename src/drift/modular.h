@@ -17,8 +17,8 @@
 // Determinism (house rule): for a fixed configuration every decision is a
 // pure function of the construction inputs — explorer trials, gate replays
 // and training are bit-identical at any thread count, and the score/encoding
-// caches are keyed by (plan signature, module swap epoch) so a hit can never
-// change a decision.
+// caches are keyed by (plan signature, serving registry version) so a hit
+// can never change a decision.
 #ifndef LOAM_DRIFT_MODULAR_H_
 #define LOAM_DRIFT_MODULAR_H_
 
@@ -104,9 +104,9 @@ class ModularLearner {
     bool used_model = false;
   };
   // Full steering path for one query of `key`: explore candidates, score
-  // them with the module's serving model (through the module's signature ⊕
-  // epoch keyed caches), pick the argmin; native default when the module has
-  // no approved model.
+  // them in one batch with the module's serving model (through the module's
+  // caches, keyed by plan signature and serving registry version), pick the
+  // argmin; native default when the module has no approved model.
   Decision optimize(const std::string& key, const warehouse::Query& query);
 
   // Journals the executed decision (encoded chosen plan + realized cost).
@@ -169,9 +169,6 @@ class ModularLearner {
 
   Module& module_at(const std::string& key);
   const Module& module_at(const std::string& key) const;
-  int select_with(const core::AdaptiveCostPredictor& model,
-                  const core::PlanEncoder& encoder,
-                  const core::CandidateGeneration& generation) const;
   RetrainReport retrain_modular_locked(const std::string& key, int day);
   RetrainReport retrain_monolithic_locked(int day);
   void status_into(const std::string& key, const Module& m,

@@ -44,16 +44,8 @@ OptimizerService::OptimizerService(core::ProjectRuntime* runtime,
                                    ServeConfig config)
     : runtime_(runtime),
       config_(normalized(std::move(config))),
-      encoder_(&runtime->project().catalog, [this] {
-        // The encoder's node-row memo follows the service cache switch.
-        core::EncodingConfig enc = config_.encoding;
-        enc.row_cache_capacity =
-            config_.cache.enabled
-                ? (enc.row_cache_capacity > 0 ? enc.row_cache_capacity
-                                              : config_.cache.encoding_capacity)
-                : 0;
-        return enc;
-      }()),
+      encoder_(&runtime->project().catalog,
+               core::with_row_cache(config_.encoding, config_.cache)),
       explorer_(&runtime->optimizer(), config_.explorer),
       journal_(config_.journal_path, config_.num_shards, [this] {
         // Normalizers and the environment context come from the project's
@@ -70,6 +62,9 @@ OptimizerService::OptimizerService(core::ProjectRuntime* runtime,
         }
         return encoder_.feature_dim();
       }()),
+      scoring_env_(config_.encoding.include_env
+                       ? std::optional<EnvFeatures>(env_context_.representative)
+                       : std::nullopt),
       registry_(config_.registry_root),
       monitor_(config_.monitor),
       retrain_pool_(1) {
@@ -99,7 +94,7 @@ OptimizerService::OptimizerService(core::ProjectRuntime* runtime,
     env.num_shards = config_.num_shards;
     env.config = &config_;
     env.encoder = &encoder_;
-    env.env_context = &env_context_;
+    env.scoring_env = scoring_env_;
     env.native = &runtime_->optimizer();
     env.swap_epoch = &swap_epoch_;
     env.announcement = [this] { return announce_slot_.load(); };
@@ -181,28 +176,6 @@ ServeDecision OptimizerService::optimize(Query query) {
   return future.get();
 }
 
-std::vector<nn::Tree> OptimizerService::encode_candidates(
-    const CandidateGeneration& generation) const {
-  const bool use_env = config_.encoding.include_env;
-  const EnvFeatures rep = env_context_.representative;
-  std::vector<nn::Tree> trees;
-  trees.reserve(generation.plans.size());
-  for (const warehouse::Plan& plan : generation.plans) {
-    trees.push_back(encoder_.encode(
-        plan, nullptr,
-        use_env ? std::optional<EnvFeatures>(rep) : std::nullopt));
-  }
-  return trees;
-}
-
-int OptimizerService::argmin(const std::vector<double>& v) {
-  int best = 0;
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i] < v[static_cast<std::size_t>(best)]) best = static_cast<int>(i);
-  }
-  return best;
-}
-
 // ---------------------------------------------------------------------------
 // Feedback + monitoring + rollback
 // ---------------------------------------------------------------------------
@@ -246,11 +219,8 @@ void OptimizerService::record_feedback(const ServeDecision& decision,
     FeedbackRecord cand;
     cand.kind = FeedbackRecord::Kind::kCandidate;
     cand.day = decision.submit_day;
-    cand.tree = encoder_.encode(
-        decision.generation.plans[c], nullptr,
-        config_.encoding.include_env
-            ? std::optional<EnvFeatures>(env_context_.representative)
-            : std::nullopt);
+    cand.tree =
+        encoder_.encode(decision.generation.plans[c], nullptr, scoring_env_);
     journal_.append(decision.shard, cand);
     ++added;
   }
@@ -360,6 +330,7 @@ bool OptimizerService::retrain_sync() {
   const int first_day = std::max(0, journal_.max_day()) + 1;
   core::DeploymentGateConfig gc = config_.gate;
   gc.seed = config_.gate.seed + static_cast<std::uint64_t>(next_version);
+  const core::CandidateScorer scorer(&encoder_, scoring_env_);
   const AdaptiveCostPredictor* raw = model.get();
   core::DeploymentGateReport report;
   {
@@ -367,8 +338,8 @@ bool OptimizerService::retrain_sync() {
     std::lock_guard<std::mutex> lock(runtime_mu_);
     report = core::evaluate_selection(
         *runtime_,
-        [this, raw](const CandidateGeneration& gen) {
-          return argmin(raw->predict_batch(encode_candidates(gen)));
+        [&scorer, raw](const CandidateGeneration& gen) {
+          return scorer.select(*raw, gen);
         },
         config_.explorer, first_day, gc);
   }
@@ -443,14 +414,15 @@ bool OptimizerService::try_publish_quantized(
   // deployment verdict, not an assumption about int8 accuracy.
   core::DeploymentGateConfig gc = config_.gate;
   gc.seed = config_.gate.seed + static_cast<std::uint64_t>(next_version);
+  const core::CandidateScorer scorer(&encoder_, scoring_env_);
   const core::QuantizedCostModel* raw = qmodel.get();
   core::DeploymentGateReport report;
   {
     std::lock_guard<std::mutex> lock(runtime_mu_);
     report = core::evaluate_selection(
         *runtime_,
-        [this, raw](const CandidateGeneration& gen) {
-          return argmin(raw->predict_batch(encode_candidates(gen)));
+        [&scorer, raw](const CandidateGeneration& gen) {
+          return scorer.select(*raw, gen);
         },
         config_.explorer, first_day, gc);
   }
@@ -524,11 +496,7 @@ void OptimizerService::bootstrap_journal() {
       FeedbackRecord cand;
       cand.kind = FeedbackRecord::Kind::kCandidate;
       cand.day = r->day;
-      cand.tree = encoder_.encode(
-          gen.plans[c], nullptr,
-          config_.encoding.include_env
-              ? std::optional<EnvFeatures>(env_context_.representative)
-              : std::nullopt);
+      cand.tree = encoder_.encode(gen.plans[c], nullptr, scoring_env_);
       journal_.append(static_cast<int>(shard_of(r->query)), cand);
       ++added;
     }

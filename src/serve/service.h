@@ -46,6 +46,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -170,12 +171,6 @@ class OptimizerService {
   }
   static std::int64_t obs_now_ns();
 
-  // Encodes a candidate set under the representative environment (gate
-  // selector + bootstrap; shards carry their own copy of this logic).
-  std::vector<nn::Tree> encode_candidates(
-      const core::CandidateGeneration& generation) const;
-  static int argmin(const std::vector<double>& v);
-
   void bootstrap_journal();
   void retrain_task();
   // Builds the int8 twin of a just-approved fp32 model (calibrated on the
@@ -204,7 +199,11 @@ class OptimizerService {
   core::PlanEncoder encoder_;
   core::PlanExplorer explorer_;
   core::EnvContext env_context_;
-  ShardedFeedbackJournal journal_;
+  ShardedFeedbackJournal journal_;  // its init fits encoder_ + env_context_
+  // The environment block candidates are encoded under, for scoring and for
+  // candidate feedback records: the representative environment, or none
+  // when the encoder drops the env block.
+  std::optional<warehouse::EnvFeatures> scoring_env_;
   ModelRegistry registry_;
 
   // Swap broadcast state: the announcement slot holds what the lifecycle

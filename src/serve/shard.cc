@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <utility>
 
 #include "obs/obs.h"
@@ -10,7 +9,6 @@
 namespace loam::serve {
 
 using core::CandidateGeneration;
-using warehouse::EnvFeatures;
 using warehouse::Query;
 
 namespace {
@@ -34,6 +32,7 @@ ServeShard::ServeShard(Env env)
       explorer_(env_.native, env_.config->explorer),
       infer_cache_(cache_scope(env_.index, env_.num_shards),
                    env_.config->cache),
+      scorer_(env_.encoder, env_.scoring_env, &infer_cache_),
       pacing_(env_.config->pacing, env_.config->max_batch),
       c_admitted_(obs::Registry::instance().counter(
           shard_series(env_.index, "requests_admitted"))),
@@ -239,28 +238,6 @@ std::shared_ptr<const ModelSnapshot> ServeShard::snapshot_for_batch() {
   return slot_.load();
 }
 
-std::vector<nn::Tree> ServeShard::encode_candidates(
-    const CandidateGeneration& generation) const {
-  const bool use_env = env_.config->encoding.include_env;
-  const EnvFeatures rep = env_.env_context->representative;
-  std::vector<nn::Tree> trees;
-  trees.reserve(generation.plans.size());
-  for (const warehouse::Plan& plan : generation.plans) {
-    trees.push_back(env_.encoder->encode(
-        plan, nullptr,
-        use_env ? std::optional<EnvFeatures>(rep) : std::nullopt));
-  }
-  return trees;
-}
-
-int ServeShard::argmin(const std::vector<double>& v) {
-  int best = 0;
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i] < v[static_cast<std::size_t>(best)]) best = static_cast<int>(i);
-  }
-  return best;
-}
-
 void ServeShard::process_batch(std::vector<Pending> batch) {
   static obs::Counter* const c_batches =
       obs::Registry::instance().counter("loam.serve.batches");
@@ -290,31 +267,17 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
   const std::shared_ptr<const ModelSnapshot> snapshot = snapshot_for_batch();
 
   // Explore per request, then score the union of every request's candidates
-  // with a single predict_batch call. With the inference cache on, a
-  // candidate whose (signature, env, registry-version) score is memoized
-  // skips encoding and inference entirely, and a candidate with a memoized
-  // encoding skips featurization; only true misses enter the forward pass.
-  // Scores are keyed by snapshot->version, so entries written under an older
-  // model CANNOT hit after a hot-swap — and entries for a version stay valid
-  // if a rollback reinstates it (same checkpoint, same scores).
+  // through the shard's scorer: one predict_batch_ptrs call over the misses
+  // of the whole batch. Scores are keyed by snapshot->version, so entries
+  // written under an older model CANNOT hit after a hot-swap — and entries
+  // for a version stay valid if a rollback reinstates it (same checkpoint,
+  // same scores).
   std::vector<ServeDecision> decisions(batch.size());
-  bool failed_any = false;
   std::vector<bool> failed(batch.size(), false);
-  struct MissRef {
-    std::size_t request = 0;   // index into batch/decisions
-    std::size_t candidate = 0; // index into that request's candidate set
-    std::uint64_t score_key = 0;
-    std::shared_ptr<const nn::Tree> tree;  // keeps the cached encoding alive
-  };
-  std::vector<MissRef> misses;
-  std::vector<nn::Tree> flat;  // cache-disabled path only
-  std::vector<std::size_t> offsets(batch.size() + 1, 0);
-  const bool use_env = config.encoding.include_env;
-  const EnvFeatures rep = env_.env_context->representative;
-  const double env_vals[4] = {rep.cpu_idle, rep.io_wait, rep.load5_norm,
-                              rep.mem_usage};
-  const std::uint64_t env_fp =
-      use_env ? cache::fingerprint(env_vals) : 0x9e1debull;
+  std::vector<const CandidateGeneration*> generations;
+  std::vector<std::vector<double>*> scores;
+  generations.reserve(batch.size());
+  scores.reserve(batch.size());
   std::int64_t min_queue_ticks = -1;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ServeDecision& d = decisions[i];
@@ -330,70 +293,33 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
     }
     try {
       d.generation = explorer_.explore(batch[i].query);
-      if (snapshot->model == nullptr) {
-        // fall through to the fallback branch below
-      } else if (!infer_cache_.enabled()) {
-        std::vector<nn::Tree> trees = encode_candidates(d.generation);
-        for (nn::Tree& t : trees) flat.push_back(std::move(t));
-      } else {
-        d.predicted.assign(d.generation.plans.size(), 0.0);
-        for (std::size_t c = 0; c < d.generation.plans.size(); ++c) {
-          const std::uint64_t psig = d.generation.signatures[c];
-          const std::uint64_t skey = cache::InferenceCache::score_key(
-              psig, env_fp, snapshot->version);
-          if (std::optional<double> hit = infer_cache_.get_score(skey);
-              hit.has_value()) {
-            d.predicted[c] = *hit;
-            continue;
-          }
-          const std::uint64_t ekey =
-              cache::InferenceCache::encoding_key(psig, env_fp);
-          std::shared_ptr<const nn::Tree> tree = infer_cache_.get_encoding(ekey);
-          if (tree == nullptr) {
-            tree = std::make_shared<const nn::Tree>(env_.encoder->encode(
-                d.generation.plans[c], nullptr,
-                use_env ? std::optional<EnvFeatures>(rep) : std::nullopt));
-            infer_cache_.put_encoding(ekey, tree);
-          }
-          misses.push_back(MissRef{i, c, skey, std::move(tree)});
-        }
-      }
+      generations.push_back(&d.generation);
+      scores.push_back(&d.predicted);
     } catch (...) {
       failed[i] = true;
-      failed_any = true;
       batch[i].promise.set_exception(std::current_exception());
     }
-    offsets[i + 1] = flat.size();
   }
-
-  std::vector<double> all_preds;
-  if (snapshot->model != nullptr && !flat.empty()) {
-    all_preds = snapshot->model->predict_batch(flat);
-  }
-  if (snapshot->model != nullptr && !misses.empty()) {
-    std::vector<const nn::Tree*> ptrs;
-    ptrs.reserve(misses.size());
-    for (const MissRef& m : misses) ptrs.push_back(m.tree.get());
-    const std::vector<double> fresh = snapshot->model->predict_batch_ptrs(ptrs);
-    for (std::size_t j = 0; j < misses.size(); ++j) {
-      decisions[misses[j].request].predicted[misses[j].candidate] = fresh[j];
-      infer_cache_.put_score(misses[j].score_key, fresh[j]);
+  if (snapshot->model != nullptr) {
+    try {
+      scorer_.score(*snapshot->model, snapshot->version, generations, scores);
+    } catch (...) {
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (failed[i]) continue;
+        failed[i] = true;
+        batch[i].promise.set_exception(std::current_exception());
+      }
     }
   }
 
   int plans_scored = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (failed_any && failed[i]) continue;
+    if (failed[i]) continue;
     ServeDecision& d = decisions[i];
     if (snapshot->model != nullptr) {
       d.model_version = snapshot->version;
       if (snapshot->quantized) c_quant_decisions->add();
-      if (!infer_cache_.enabled()) {
-        d.predicted.assign(
-            all_preds.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
-            all_preds.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
-      }
-      d.chosen = argmin(d.predicted);
+      d.chosen = core::argmin(d.predicted);
       d.predicted_cost =
           d.predicted.empty() ? 0.0
                               : d.predicted[static_cast<std::size_t>(d.chosen)];

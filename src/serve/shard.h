@@ -42,6 +42,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,7 +121,7 @@ struct ServeConfig {
   // structurally — post-swap lookups miss by construction and a stale entry
   // can never serve. Encoding keys are version-free (the encoder is fixed
   // after construction). Performance-only: decisions are bit-identical with
-  // caching off. Each shard keeps its own stripe.
+  // every capacity 0 (caches off). Each shard keeps its own stripe.
   cache::CacheConfig cache;
 
   // BBR-style adaptive admission + batch pacing (serve/pacing.h). When
@@ -235,7 +236,8 @@ class ServeShard {
     int num_shards = 1;
     const ServeConfig* config = nullptr;
     const core::PlanEncoder* encoder = nullptr;
-    const core::EnvContext* env_context = nullptr;
+    // Environment block candidates are scored under (nullopt = none).
+    std::optional<warehouse::EnvFeatures> scoring_env;
     const warehouse::NativeOptimizer* native = nullptr;
     // Swap broadcast: bumped (release) by the service after it installs a new
     // snapshot in the announcement slot; `announcement()` loads that slot.
@@ -297,9 +299,6 @@ class ServeShard {
   // Batch-boundary epoch check: applies a pending announcement to this
   // shard's slot (measuring the pause), then returns the serving snapshot.
   std::shared_ptr<const ModelSnapshot> snapshot_for_batch();
-  std::vector<nn::Tree> encode_candidates(
-      const core::CandidateGeneration& generation) const;
-  static int argmin(const std::vector<double>& v);
 
   Env env_;
   // Per-shard explorer: same config as every other shard's, so exploration
@@ -309,6 +308,9 @@ class ServeShard {
   // Thread-safe internally (sharded LRUs); only this shard's batcher writes,
   // tests and stats readers may probe concurrently.
   mutable cache::InferenceCache infer_cache_;
+  // The batch scoring path: the service's encoder and scoring environment
+  // over this shard's cache stripe.
+  core::CandidateScorer scorer_;
 
   SnapshotSlot slot_;
   std::uint64_t last_epoch_ = 0;  // batcher-thread state (+ ctor)

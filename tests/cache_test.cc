@@ -156,8 +156,10 @@ TEST(CacheKeyTest, EncodingAndScoreTablesNeverAlias) {
 }
 
 TEST(InferenceCacheTest, DisabledCacheNeverHits) {
+  // Capacity 0 is the off switch.
   CacheConfig cc;
-  cc.enabled = false;
+  cc.encoding_capacity = 0;
+  cc.score_capacity = 0;
   InferenceCache cache("test_disabled", cc);
   cache.put_score(1, 2.0);
   EXPECT_FALSE(cache.get_score(1).has_value());
@@ -275,7 +277,10 @@ struct PipelineFixture {
     cfg.candidate_sample_queries = 10;
     cfg.predictor.epochs = 4;
     cfg.predictor.hidden_dim = 16;
-    cfg.cache.enabled = cache_on;
+    if (!cache_on) {
+      cfg.cache.encoding_capacity = 0;
+      cfg.cache.score_capacity = 0;
+    }
     return cfg;
   }
 };

@@ -147,7 +147,8 @@ TEST_F(PredictorBatch, TrainingBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(PredictorBatch, BaselineDefaultBatchEqualsPerPlan) {
-  // Baselines inherit CostModel::predict_batch's loop-over-predict default;
+  // Baselines inherit CostModel::predict_batch_ptrs's loop-over-predict
+  // default (predict_batch forwards to it);
   // the contract (same values, input order) must hold for them too.
   BaselineConfig cfg;
   cfg.epochs = 6;

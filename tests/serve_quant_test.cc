@@ -156,7 +156,8 @@ TEST(QuantServe, UnpromotedQuantLeavesFp32PathBitIdentical) {
   cfg.auto_retrain = false;
   cfg.gate.max_regression = 1e9;
   cfg.gate.max_regression_ratio = 1e9;
-  cfg.cache.enabled = false;
+  cfg.cache.encoding_capacity = 0;
+  cfg.cache.score_capacity = 0;
   OptimizerService service(fx.runtime.get(), cfg);
   service.start();
   ASSERT_EQ(service.active_version(), 1);

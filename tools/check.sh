@@ -35,6 +35,11 @@
 #     1x baseline — the BBR-style shed-to-fallback claim);
 #   - multi-shard serving soak (loam_sim_cli serve --shards=4; per-shard
 #     journal files must appear);
+#   - one-scoring-path lint (fails if any src/ .cc file other than
+#     core/scorer.cc and the model classes' own definitions calls
+#     predict_batch or predict_batch_ptrs);
+#   - perfbench tests (perfbench/test_perfbench.py: every workload smoked,
+#     every served decision re-derived by the benchmark's reference scorer);
 #   - shard scale-out bench (BENCH_serve_scaling.json, fails if any request
 #     is rejected, any shard's applied-swap pause exceeds 1 ms, or — on a
 #     machine with >= 4 hardware threads — 4-shard model-path throughput
@@ -208,6 +213,25 @@ for dump in "${BUILD_DIR}/flight_dumps"/*.json; do
 done
 dump=$(ls "${BUILD_DIR}/flight_dumps"/*.json | head -n 1)
 python3 tools/obs_report.py "${dump}" --series loam.serve > /dev/null
+
+echo "== One scoring path (lint) =="
+# core::CandidateScorer is the only code in src/ that encodes candidates for
+# a model and calls its batch predict; the model classes' own definitions
+# implement predict_batch_ptrs. A call anywhere else is a new copy of the
+# scoring step growing back.
+stray=$(grep -rnE --include='*.cc' '\bpredict_batch(_ptrs)?[[:space:]]*\(' src \
+  | grep -vE '^src/core/(scorer|predictor|quant_model|baselines)\.cc:' || true)
+if [[ -n "${stray}" ]]; then
+  echo "predict_batch/predict_batch_ptrs called outside core::CandidateScorer:" >&2
+  echo "${stray}" >&2
+  exit 1
+fi
+
+echo "== perfbench tests (python3 perfbench/test_perfbench.py) =="
+# Every workload traced and untraced plus a forced-fallback negative case;
+# the off-clock replay re-derives every served decision through perfbench's
+# own reference scorer, so this is the end-to-end guard on the scoring path.
+python3 perfbench/test_perfbench.py
 
 echo "== Shard scale-out bench (BENCH_serve_scaling.json) =="
 # Closed-loop sweep over 1/2/4/8 shards with continuous hot-swap plus a
