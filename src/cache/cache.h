@@ -59,7 +59,11 @@ std::uint64_t combine(std::uint64_t a, std::uint64_t b);
 std::uint64_t fingerprint(std::span<const double> values);
 
 struct CacheConfig {
-  std::size_t encoding_capacity = 4096;   // featurized plans
+  // Featurized plans. Off by default: a score hit skips the encoding lookup,
+  // so the table only re-hits after a model change — in serve after a hot
+  // swap, where re-encoding a memoized candidate set costs ~3 plans once per
+  // version, and never in LoamDeployment, whose train() clears both tables.
+  std::size_t encoding_capacity = 0;
   std::size_t score_capacity = 1 << 16;   // final ranker/predictor scores
   int shards = 8;                         // lock stripes per table
 };

@@ -15,8 +15,9 @@ using warehouse::PlanNode;
 
 EncodingConfig with_row_cache(EncodingConfig encoding,
                               const cache::CacheConfig& cache) {
-  if (encoding.row_cache_capacity == 0) {
-    encoding.row_cache_capacity = cache.encoding_capacity;
+  if (encoding.row_cache_capacity == 0 &&
+      (cache.encoding_capacity > 0 || cache.score_capacity > 0)) {
+    encoding.row_cache_capacity = kRowCacheCapacity;
   }
   return encoding;
 }

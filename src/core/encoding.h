@@ -51,11 +51,15 @@ struct EncodingConfig {
   std::size_t row_cache_capacity = 0;
 };
 
-// The node-row memo follows the inference cache's sizing: rows repeat
+// Node-row memo size an encoder gets from with_row_cache().
+inline constexpr std::size_t kRowCacheCapacity = 4096;
+
+// The node-row memo follows the inference cache's switch: rows repeat
 // massively across a workload's plans and memoized rows are bit-identical to
 // recomputed ones, so it needs no switch of its own. Keeps `encoding`'s
-// row_cache_capacity when above 0, else takes the cache's encoding_capacity;
-// 0 means off.
+// row_cache_capacity when above 0, else kRowCacheCapacity while either of
+// the cache's tables has capacity; a cache with both tables off turns it
+// off too.
 EncodingConfig with_row_cache(EncodingConfig encoding,
                               const cache::CacheConfig& cache);
 

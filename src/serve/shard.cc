@@ -30,6 +30,8 @@ std::string cache_scope(int index, int num_shards) {
 ServeShard::ServeShard(Env env)
     : env_(std::move(env)),
       explorer_(env_.native, env_.config->explorer),
+      candidates_(cache_scope(env_.index, env_.num_shards), &explorer_,
+                  &env_.native->catalog()),
       infer_cache_(cache_scope(env_.index, env_.num_shards),
                    env_.config->cache),
       scorer_(env_.encoder, env_.scoring_env, &infer_cache_),
@@ -266,7 +268,9 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
   // is applied to THIS shard.
   const std::shared_ptr<const ModelSnapshot> snapshot = snapshot_for_batch();
 
-  // Explore per request, then score the union of every request's candidates
+  // Explore per request (through the candidate memo: a recurring query's
+  // candidate set is re-served, bit-identical, until the catalog changes),
+  // then score the union of every request's candidates
   // through the shard's scorer: one predict_batch_ptrs call over the misses
   // of the whole batch. Scores are keyed by snapshot->version, so entries
   // written under an older model CANNOT hit after a hot-swap — and entries
@@ -292,7 +296,7 @@ void ServeShard::process_batch(std::vector<Pending> batch) {
       min_queue_ticks = queue_ticks;
     }
     try {
-      d.generation = explorer_.explore(batch[i].query);
+      d.generation = candidates_.explore(batch[i].query);
       generations.push_back(&d.generation);
       scores.push_back(&d.predicted);
     } catch (...) {

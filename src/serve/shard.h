@@ -6,7 +6,9 @@
 //
 //   * a bounded FIFO + condition variable + its own batcher thread,
 //   * its own PlanExplorer (same config as every other shard's, so a query
-//     explores identically wherever it lands),
+//     explores identically wherever it lands) behind its own CandidateMemo
+//     (serve/candidate_memo.h: a recurring query is explored once and its
+//     candidate set re-served until the catalog changes),
 //   * its own PacingController, windowed filters, and cached cwnd /
 //     batch-target atomics (the lock-free admission fast path),
 //   * its own InferenceCache stripe (obs scope loam.cache.serve.s<K>.*),
@@ -52,6 +54,7 @@
 #include "core/gate.h"
 #include "core/loam.h"
 #include "obs/registry.h"
+#include "serve/candidate_memo.h"
 #include "serve/pacing.h"
 
 namespace loam::obs {
@@ -120,8 +123,10 @@ struct ServeConfig {
   // that produced them, so a hot-swap invalidates every cached score
   // structurally — post-swap lookups miss by construction and a stale entry
   // can never serve. Encoding keys are version-free (the encoder is fixed
-  // after construction). Performance-only: decisions are bit-identical with
-  // every capacity 0 (caches off). Each shard keeps its own stripe.
+  // after construction); the encoding table is off by default (cache.h).
+  // Performance-only: decisions are bit-identical with every capacity 0
+  // (caches off). Each shard keeps its own stripe. The shard's candidate
+  // memo is sized by CandidateMemo::kCapacity, not here.
   cache::CacheConfig cache;
 
   // BBR-style adaptive admission + batch pacing (serve/pacing.h). When
@@ -272,6 +277,7 @@ class ServeShard {
   // announced version may be one epoch ahead until the next batch boundary.
   int serving_version() const { return slot_.load()->version; }
   const cache::InferenceCache& inference_cache() const { return infer_cache_; }
+  const CandidateMemo& candidate_memo() const { return candidates_; }
 
  private:
   // A queued model-path request. Shed requests never become queue entries —
@@ -305,6 +311,9 @@ class ServeShard {
   // is bit-identical wherever a query routes; owning one per shard keeps the
   // serving path shared-nothing.
   core::PlanExplorer explorer_;
+  // The batcher's only way to explore: a memo of the candidate sets of
+  // recurring queries in front of explorer_.
+  CandidateMemo candidates_;
   // Thread-safe internally (sharded LRUs); only this shard's batcher writes,
   // tests and stats readers may probe concurrently.
   mutable cache::InferenceCache infer_cache_;

@@ -170,6 +170,8 @@ double CardEstimator::query_aggregate_rows(double input_rows, bool truth) const 
 
 void CardEstimator::annotate(Plan& plan) const {
   for (int id : plan.postorder()) {
+    // mutable_node() first: on a plan sharing copy-on-write nodes it clones
+    // them, so the child pointers below must be taken after it.
     PlanNode& n = plan.mutable_node(id);
     const PlanNode* l = n.left >= 0 ? &plan.node(n.left) : nullptr;
     const PlanNode* r = n.right >= 0 ? &plan.node(n.right) : nullptr;

@@ -10,6 +10,7 @@
 #ifndef LOAM_WAREHOUSE_CATALOG_H_
 #define LOAM_WAREHOUSE_CATALOG_H_
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -63,11 +64,21 @@ struct TableStats {
 
 class Catalog {
  public:
+  Catalog();
+  // A copy or an assigned-to catalog takes a fresh generation, as does the
+  // source of a move (its contents are gone).
+  Catalog(const Catalog& other);
+  Catalog(Catalog&& other) noexcept;
+  Catalog& operator=(const Catalog& other);
+  Catalog& operator=(Catalog&& other) noexcept;
+
   int add_table(Table table);
 
   int table_count() const { return static_cast<int>(tables_.size()); }
   const Table& table(int id) const { return tables_.at(static_cast<std::size_t>(id)); }
-  Table& mutable_table(int id) { return tables_.at(static_cast<std::size_t>(id)); }
+  // Draws a new generation when the reference is handed out: finish writing
+  // through it before planning against the catalog again.
+  Table& mutable_table(int id);
   // Returns -1 when not found.
   int find(const std::string& name) const;
 
@@ -79,7 +90,18 @@ class Catalog {
   // Fully qualified column identifier used for hash encoding ("table.col").
   std::string column_identifier(int table_id, int column) const;
 
+  // Identifies the catalog's current contents. Every value comes from one
+  // process-wide counter and a new one is drawn on every mutation path
+  // (add_table, set_stats, mutable_table) and on copy, move and assignment,
+  // so no two states of any catalogs in the process ever share a value and
+  // a state that was left can never come back. Memos of work planned
+  // against the catalog key on it.
+  std::uint64_t generation() const { return generation_; }
+
  private:
+  static std::uint64_t next_generation();
+
+  std::uint64_t generation_;
   std::vector<Table> tables_;
   std::vector<TableStats> stats_;
   std::unordered_map<std::string, int> by_name_;

@@ -65,14 +65,31 @@ bool is_filter_like(OpType op) {
   return op == OpType::kFilter || op == OpType::kCalc;
 }
 
+const std::vector<PlanNode>& Plan::nodes() const {
+  static const std::vector<PlanNode> kEmpty;
+  return nodes_ != nullptr ? nodes_->nodes : kEmpty;
+}
+
+std::vector<PlanNode>& Plan::writable() {
+  if (nodes_ == nullptr) {
+    nodes_ = std::make_shared<Storage>();
+  } else if (nodes_->shared.load(std::memory_order_relaxed)) {
+    auto fresh = std::make_shared<Storage>();
+    fresh->nodes = nodes_->nodes;
+    nodes_ = std::move(fresh);
+  }
+  return nodes_->nodes;
+}
+
 int Plan::add_node(PlanNode node) {
-  nodes_.push_back(std::move(node));
-  return static_cast<int>(nodes_.size()) - 1;
+  std::vector<PlanNode>& nodes = writable();
+  nodes.push_back(std::move(node));
+  return static_cast<int>(nodes.size()) - 1;
 }
 
 std::vector<int> Plan::postorder() const {
   std::vector<int> order;
-  order.reserve(nodes_.size());
+  order.reserve(nodes().size());
   if (root_ < 0) return order;
   // Iterative post-order to stay safe on deep trees.
   std::vector<std::pair<int, bool>> stack{{root_, false}};
@@ -114,7 +131,7 @@ std::uint64_t Plan::signature() const {
   constexpr std::uint64_t kNoChild = 0x5bd1e995u;
   if (root_ < 0) return kNoChild;
   // Bottom-up: postorder() hashes every child before its parent.
-  std::vector<std::uint64_t> hashes(nodes_.size(), kNoChild);
+  std::vector<std::uint64_t> hashes(nodes().size(), kNoChild);
   for (const int id : postorder()) {
     const PlanNode& n = node(id);
     std::uint64_t h = mix64(static_cast<std::uint64_t>(n.op) + 0x100);
@@ -157,7 +174,7 @@ std::uint64_t Plan::signature() const {
 std::vector<std::pair<std::pair<OpType, OpType>, int>> Plan::parent_child_patterns()
     const {
   std::map<std::pair<OpType, OpType>, int> counts;
-  for (const PlanNode& n : nodes_) {
+  for (const PlanNode& n : nodes()) {
     for (int c : {n.left, n.right}) {
       if (c >= 0) ++counts[{n.op, node(c).op}];
     }

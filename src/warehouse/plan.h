@@ -8,7 +8,9 @@
 #ifndef LOAM_WAREHOUSE_PLAN_H_
 #define LOAM_WAREHOUSE_PLAN_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,18 +95,50 @@ struct PlanNode {
   int stage = -1;
 };
 
+// A plan is a value with copy-on-write node storage: copying one shares the
+// nodes (a refcount bump), and the first mutable access through either
+// holder — add_node, reserve, mutable_node, mutable_nodes — clones them, so
+// neither side ever observes the other's writes. Whether to clone is decided
+// by a sticky flag that every copy sets on the storage and nothing clears,
+// not by shared_ptr::use_count(): storage that was never shared is reachable
+// only through this object, so an in-place write is ordered by whatever
+// already orders the caller's accesses to the object, while storage that was
+// shared may still be read by another thread (a memo entry's plans are
+// copied out on every hit), and a relaxed use_count() of 1 would not order
+// the write after those reads. Shared storage is therefore never written
+// again. References and pointers from node()/nodes() taken before the first
+// mutable access refer to the pre-clone storage; take them after it.
 class Plan {
  public:
+  Plan() = default;
+  Plan(const Plan& other) : nodes_(other.share()), root_(other.root_) {}
+  Plan(Plan&& other) noexcept = default;
+  Plan& operator=(const Plan& other) {
+    if (this != &other) {
+      nodes_ = other.share();
+      root_ = other.root_;
+    }
+    return *this;
+  }
+  Plan& operator=(Plan&& other) noexcept = default;
+
   int add_node(PlanNode node);
-  void reserve(std::size_t nodes) { nodes_.reserve(nodes); }
+  void reserve(std::size_t nodes) { writable().reserve(nodes); }
   void set_root(int id) { root_ = id; }
   int root() const { return root_; }
 
-  int node_count() const { return static_cast<int>(nodes_.size()); }
-  const PlanNode& node(int id) const { return nodes_.at(static_cast<std::size_t>(id)); }
-  PlanNode& mutable_node(int id) { return nodes_.at(static_cast<std::size_t>(id)); }
-  const std::vector<PlanNode>& nodes() const { return nodes_; }
-  std::vector<PlanNode>& mutable_nodes() { return nodes_; }
+  int node_count() const { return static_cast<int>(nodes().size()); }
+  const PlanNode& node(int id) const { return nodes().at(static_cast<std::size_t>(id)); }
+  PlanNode& mutable_node(int id) { return writable().at(static_cast<std::size_t>(id)); }
+  const std::vector<PlanNode>& nodes() const;
+  std::vector<PlanNode>& mutable_nodes() { return writable(); }
+
+  // True while this plan's nodes may be shared with another Plan (some copy
+  // of the storage was ever made); the next mutable access clones them.
+  // Exposed for tests.
+  bool shares_storage() const {
+    return nodes_ != nullptr && nodes_->shared.load(std::memory_order_relaxed);
+  }
 
   // Node ids in post order (children before parents); every internal
   // algorithm (cardinality annotation, staging, execution) walks this.
@@ -134,7 +168,26 @@ class Plan {
   std::string to_string() const;  // indented tree rendering
 
  private:
-  std::vector<PlanNode> nodes_;
+  struct Storage {
+    std::vector<PlanNode> nodes;
+    // Set by every copy of a Plan holding this storage; never cleared. The
+    // store and load can be relaxed: the flag is only read by a mutable
+    // access, which the caller must already order after any copy made from
+    // the same Plan object, and a copy made from another holder set it
+    // before that holder existed.
+    std::atomic<bool> shared{false};
+  };
+
+  // The storage, flagged as shared, for a new copy.
+  std::shared_ptr<Storage> share() const {
+    if (nodes_ != nullptr) nodes_->shared.store(true, std::memory_order_relaxed);
+    return nodes_;
+  }
+  // The nodes for writing: allocates storage for an empty plan and clones
+  // storage that was ever shared.
+  std::vector<PlanNode>& writable();
+
+  std::shared_ptr<Storage> nodes_;
   int root_ = -1;
 };
 

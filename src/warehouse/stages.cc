@@ -46,7 +46,10 @@ StageGraph decompose_into_stages(Plan& plan, const StageDecomposerConfig& config
   };
 
   // Walk down from the root; an Exchange's child starts a fresh stage that
-  // the current (consumer) stage depends on.
+  // the current (consumer) stage depends on. `n` is held across the
+  // recursion: only the first mutable_node() can clone copy-on-write nodes
+  // the plan shares, and it runs before any reference is taken, so later
+  // calls return references into the same storage.
   std::function<void(int, int)> assign = [&](int node_id, int stage_id) {
     PlanNode& n = plan.mutable_node(node_id);
     n.stage = stage_id;

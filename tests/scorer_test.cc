@@ -169,7 +169,10 @@ TEST(CandidateScorer, CacheStateNeverChangesScoresOrArgmins) {
     for (const bool env_on : {true, false}) {
       const std::optional<warehouse::EnvFeatures> env = test_env(env_on);
       cache::InferenceCache zero("scorer_test.zero", zero_cfg);
-      cache::InferenceCache memo("scorer_test.memo", cache::CacheConfig{});
+      // Both tables on: the encoding table is off by default.
+      cache::CacheConfig memo_cfg;
+      memo_cfg.encoding_capacity = 4096;
+      cache::InferenceCache memo("scorer_test.memo", memo_cfg);
       const core::CandidateScorer none_scorer(p.encoder.get(), env);
       const core::CandidateScorer zero_scorer(p.encoder.get(), env, &zero);
       const core::CandidateScorer memo_scorer(p.encoder.get(), env, &memo);
@@ -177,19 +180,23 @@ TEST(CandidateScorer, CacheStateNeverChangesScoresOrArgmins) {
         const core::CandidateGeneration& gen = p.generations[g];
         const std::string label = a.name + (env_on ? " env" : " no-env") +
                                   " generation " + std::to_string(g);
-        std::vector<double> none, zeroed, cold, warm;
+        std::vector<double> none, zeroed, cold, warm, reencoded;
         const int best = none_scorer.select(*p.model, gen, 1, &none);
         EXPECT_EQ(best, core::argmin(none)) << label;
         EXPECT_EQ(zero_scorer.select(*p.model, gen, 1, &zeroed), best) << label;
         EXPECT_EQ(memo_scorer.select(*p.model, gen, 1, &cold), best) << label;
         EXPECT_EQ(memo_scorer.select(*p.model, gen, 1, &warm), best) << label;
+        // A new epoch misses every score and is scored from cached encodings.
+        EXPECT_EQ(memo_scorer.select(*p.model, gen, 2, &reencoded), best) << label;
         expect_bit_equal(none, zeroed, label + " zero-capacity");
         expect_bit_equal(none, cold, label + " cold");
         expect_bit_equal(none, warm, label + " warm");
+        expect_bit_equal(none, reencoded, label + " encoding hits");
       }
       EXPECT_EQ(zero.score_stats().hits, 0u);
       EXPECT_EQ(zero.encoding_stats().hits, 0u);
       EXPECT_GT(memo.score_stats().hits, 0u);
+      EXPECT_GT(memo.encoding_stats().hits, 0u);
     }
   }
 }

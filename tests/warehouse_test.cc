@@ -1,10 +1,15 @@
 // Unit tests of catalog, query and plan primitives.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
+#include "util/rng.h"
 #include "warehouse/catalog.h"
 #include "warehouse/flags.h"
 #include "warehouse/plan.h"
 #include "warehouse/query.h"
+#include "warehouse/workload.h"
 
 namespace loam::warehouse {
 namespace {
@@ -32,6 +37,124 @@ TEST(CatalogTest, AddAndFind) {
   EXPECT_EQ(cat.find("lineitem"), b);
   EXPECT_EQ(cat.find("nope"), -1);
   EXPECT_EQ(cat.table(a).row_count, 1000);
+}
+
+// Catalog::generation() keys every memo of work planned against a catalog:
+// each mutation path must draw a value no catalog state ever had before.
+TEST(CatalogGeneration, EveryMutationPathDrawsAFreshValue) {
+  Catalog cat;
+  std::set<std::uint64_t> seen = {cat.generation()};
+  auto fresh = [&](const char* path) {
+    EXPECT_TRUE(seen.insert(cat.generation()).second) << path;
+  };
+  const int a = cat.add_table(make_table("orders", 1000));
+  fresh("add_table");
+  const int b = cat.add_table(make_table("lineitem", 5000));
+  fresh("add_table");
+  TableStats stats;
+  stats.available = true;
+  stats.observed_rows = 900;
+  cat.set_stats(a, stats);
+  fresh("set_stats");
+  cat.mutable_table(b).row_count = 6000;
+  fresh("mutable_table");
+
+  // Reads and a rejected add leave it alone.
+  const std::uint64_t g = cat.generation();
+  EXPECT_EQ(cat.table(a).row_count, 1000);
+  EXPECT_TRUE(cat.stats(a).available);
+  EXPECT_EQ(cat.find("lineitem"), b);
+  EXPECT_EQ(cat.column_identifier(a, 0), "orders.c0");
+  EXPECT_THROW(cat.add_table(make_table("orders", 1)), std::invalid_argument);
+  EXPECT_EQ(cat.generation(), g);
+  EXPECT_THROW(cat.mutable_table(99), std::out_of_range);
+  EXPECT_EQ(cat.generation(), g);
+}
+
+TEST(CatalogGeneration, CopiesMovesAndAssignmentsNeverReuseAValue) {
+  Catalog a;
+  a.add_table(make_table("t", 10));
+  std::set<std::uint64_t> seen = {a.generation()};
+  auto fresh = [&](const Catalog& c, const char* path) {
+    EXPECT_TRUE(seen.insert(c.generation()).second) << path;
+  };
+  const std::uint64_t source = a.generation();
+  Catalog b(a);
+  fresh(b, "copy construction");
+  EXPECT_EQ(a.generation(), source);  // the source's contents did not change
+  EXPECT_EQ(b.table(0).name, "t");
+  Catalog c;
+  fresh(c, "default construction");
+  c = a;
+  fresh(c, "copy assignment");
+  Catalog d(std::move(b));
+  fresh(d, "move construction");
+  fresh(b, "moved-from source");
+  EXPECT_EQ(d.table(0).name, "t");
+  d = std::move(c);
+  fresh(d, "move assignment");
+  fresh(c, "move-assigned source");
+
+  // The project idiom: replacing a project's catalog never brings back the
+  // generation of the catalog it replaced, nor copies the new one's.
+  ProjectArchetype arch;
+  arch.name = "gen";
+  arch.n_tables = 6;
+  arch.n_templates = 2;
+  WorkloadGenerator gen(3);
+  Project project = gen.make_project(arch);
+  fresh(project.catalog, "make_project");
+  const Project other = gen.make_project(arch);
+  fresh(other.catalog, "make_project");
+  project.catalog = other.catalog;
+  fresh(project.catalog, "project.catalog = copy");
+  project.catalog = gen.make_project(arch).catalog;
+  fresh(project.catalog, "project.catalog = temporary");
+}
+
+TEST(CatalogGeneration, MigrateTableDrawsAFreshValueThroughAliasTwins) {
+  ProjectArchetype arch;
+  arch.name = "mig";
+  arch.n_tables = 12;
+  arch.n_templates = 4;
+  arch.snapshot_fraction = 0.5;
+  WorkloadGenerator gen(5);
+  Project project = gen.make_project(arch);
+  Catalog& cat = project.catalog;
+  int base = -1, twin = -1, lone = -1;
+  for (int id = 0; id < cat.table_count(); ++id) {
+    const int of = cat.table(id).alias_of;
+    if (of >= 0 && base < 0) {
+      base = of;
+      twin = id;
+    }
+  }
+  for (int id = 0; id < cat.table_count() && lone < 0; ++id) {
+    bool has_twin = false;
+    for (int t = 0; t < cat.table_count(); ++t) {
+      has_twin = has_twin || cat.table(t).alias_of == id;
+    }
+    if (!has_twin && cat.table(id).alias_of < 0) lone = id;
+  }
+  ASSERT_GE(base, 0) << "archetype produced no snapshot twin";
+  ASSERT_GE(lone, 0);
+
+  std::set<std::uint64_t> seen = {cat.generation()};
+  Rng rng(11);
+  // A table with a twin: the migration writes through the base and every
+  // twin, and the catalog ends on a value it never had.
+  const int epoch = cat.table(base).schema_epoch;
+  migrate_table(project, base, 1, 0, 2.0, rng);
+  EXPECT_TRUE(seen.insert(cat.generation()).second);
+  EXPECT_EQ(cat.table(base).schema_epoch, epoch + 1);
+  EXPECT_EQ(cat.table(twin).schema_epoch, epoch + 1);
+  EXPECT_EQ(cat.table(twin).columns.size(), cat.table(base).columns.size());
+  // Migrating the twin's base again, and a table without twins, each draw
+  // again.
+  migrate_table(project, base, 0, 1, 1.0, rng);
+  EXPECT_TRUE(seen.insert(cat.generation()).second);
+  migrate_table(project, lone, 0, 0, 1.5, rng);
+  EXPECT_TRUE(seen.insert(cat.generation()).second);
 }
 
 TEST(CatalogTest, DuplicateNameRejected) {

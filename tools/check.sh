@@ -22,7 +22,9 @@
 #   - obs overhead (BENCH_obs.json, fails if disabled sites cost > 50 ns);
 #   - CLI observability export (--metrics-out/--trace-out JSON validated with
 #     python3 -m json.tool, trace summarized by tools/trace_summary.py;
-#     fails unless 0 < loam.explorer.trials_built < loam.explorer.trials);
+#     fails unless 0 < loam.explorer.trials_built < loam.explorer.trials,
+#     or unless a serve soak that resubmits its pool twice records
+#     loam.cache.serve.cand.hits > 0);
 #   - CLI flag hygiene (an unknown flag must fail with usage, not be ignored);
 #   - serving soak (loam_sim_cli serve) and serving latency/swap-pause bench
 #     (BENCH_serve.json, fails if a swap ever pauses requests > 1 ms; also
@@ -134,6 +136,20 @@ assert 0 < built < trials, (built, trials)
 print("explorer trials built/listed: %d/%d" % (built, trials))
 EOF
 python3 tools/trace_summary.py "${BUILD_DIR}/obs_trace.json" --top 10
+# A serve shard explores a recurring query once and re-serves its candidate
+# set from its memo (admitted on the second sighting): resubmitting the
+# request pool twice must produce candidate-memo hits.
+rm -rf "${BUILD_DIR}/obs_serve_state"
+"./${BUILD_DIR}/tools/loam_sim_cli" serve 1 24 "${BUILD_DIR}/obs_serve_state" \
+  --burst=2 --metrics-out="${BUILD_DIR}/obs_serve_metrics.json"
+python3 - "${BUILD_DIR}/obs_serve_metrics.json" <<'EOF'
+import json, sys
+m = {x["name"]: x for x in json.load(open(sys.argv[1]))["metrics"]}
+hits = m["loam.cache.serve.cand.hits"]["value"]
+misses = m["loam.cache.serve.cand.misses"]["value"]
+assert hits > 0, (hits, misses)
+print("serve candidate memo hits/lookups: %d/%d" % (hits, hits + misses))
+EOF
 
 echo "== CLI flag hygiene smoke (unknown flag must be rejected) =="
 rc=0
